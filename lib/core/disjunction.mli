@@ -7,21 +7,6 @@ val max_disjuncts : int
 (** Hard cap (10) on the number of disjuncts: inclusion–exclusion is
     exponential in it. *)
 
-val check_disjuncts : Predicate.t list -> unit
-(** Raises [Invalid_argument] on an empty disjunction or more than
-    {!max_disjuncts} disjuncts. *)
-
-val fold_intersections :
-  Predicate.t list ->
-  f:('a -> intersection:Predicate.t -> size:int -> 'a) ->
-  init:'a ->
-  'a
-(** Fold over every non-empty satisfiable intersection of the disjuncts
-    (DFS with unsatisfiable-prefix pruning), in a fixed deterministic
-    order.  Exposed so alternate summary backings ({!Mapped}) can expand
-    inclusion–exclusion with exactly the same intersection order and
-    therefore bitwise-identical float accumulation. *)
-
 val estimate : Summary.t -> Predicate.t list -> float
 (** E[⟨π₁ ∨ … ∨ π_d, I⟩].  Raises [Invalid_argument] on an empty
     disjunction or more than {!max_disjuncts} disjuncts.  Unsatisfiable

@@ -4,17 +4,18 @@
 
     {!open_file} costs O(header + manifest) — the body sections are
     mapped, not read — so a catalog can keep thousands of summaries
-    "open" for the price of their metadata.  Query evaluation walks the
-    mapped SoA/CSR tables with {e exactly} the operations, in exactly
-    the order, of the heap kernel ({!Poly.eval_restricted} and
-    friends), so every estimate is bitwise-identical to the heap
-    answer for the same file (at sequential evaluation; the mapped
-    kernel never parallelizes).
+    "open" for the price of their metadata.  Queries go through
+    {!summary}: a {!Summary.t} over a read-only {!Poly.t} whose kernel
+    tables are the mapped views ({!Poly.of_views}).  There is one
+    kernel and one estimator surface, so every answer is
+    bitwise-identical to the heap summary's for the same file, at any
+    {!Poly.set_parallelism}.
 
-    Integrity: body-section checksums are verified lazily, once, on the
-    first query ({!verify} forces it eagerly).  A corrupt section
-    raises {!Serialize.Format_error} naming the section — a flipped or
-    truncated byte can never produce a silently wrong answer. *)
+    Integrity: body-section checksums are verified lazily, once, by the
+    first {!summary} call ({!verify} forces it eagerly).  A corrupt
+    section raises {!Serialize.Format_error} naming the section — a
+    flipped or truncated byte can never produce a silently wrong
+    answer. *)
 
 open Edb_storage
 
@@ -28,9 +29,14 @@ val open_file : string -> t
     body. *)
 
 val verify : t -> unit
-(** Checksum every body section now (idempotent; later queries skip
-    it).  Raises {!Serialize.Format_error} ["section %s checksum
-    mismatch"] on the first corrupt section. *)
+(** Checksum every body section now (idempotent; later calls skip it).
+    Raises {!Serialize.Format_error} ["section %s checksum mismatch"]
+    on the first corrupt section. *)
+
+val summary : t -> Summary.t
+(** The queryable summary, after {!verify}.  Its polynomial is
+    read-only: {!Poly.phi}, the solver and the ingest path raise
+    [Invalid_argument] on it (REFRESH heap-loads the file instead). *)
 
 (** {2 Metadata accessors (no body access)} *)
 
@@ -54,43 +60,6 @@ val num_terms : t -> int
 (** Terms in the compressed representation, summed over groups (from
     the manifest; used by the planner's cost model). *)
 
-(** {2 Estimation — mirrors {!Summary} bitwise}
-
-    All estimators force lazy verification, then evaluate directly off
-    the mapped tables. *)
-
-val estimate : t -> Predicate.t -> float
-val estimate_rounded : t -> Predicate.t -> float
-val variance : t -> Predicate.t -> float
-val stddev : t -> Predicate.t -> float
-
-val estimate_with_variance : t -> Predicate.t -> float * float
-(** One restricted evaluation serving both moments, exactly like
-    {!Summary.estimate_with_variance}. *)
-
-val estimate_sum :
-  t -> attr:int -> ?weights:(int -> float) -> Predicate.t -> float
-
-val estimate_avg : t -> attr:int -> Predicate.t -> float option
-
-val variance_sum :
-  t -> attr:int -> ?weights:(int -> float) -> Predicate.t -> float
-
-val estimate_groups :
-  t -> attrs:int list -> Predicate.t -> (int list * float) list
-
-val estimate_groups_with_variance :
-  t -> attrs:int list -> Predicate.t -> (int list * float * float) list
-
 val estimate_groups_with_stddev :
   t -> attrs:int list -> Predicate.t -> (int list * float * float) list
-
-val top_k_groups :
-  t -> attrs:int list -> k:int -> Predicate.t -> (int list * float) list
-
-val estimate_disjuncts : t -> Predicate.t list -> float
-(** Inclusion–exclusion over {!estimate}, with the intersection order
-    of {!Disjunction.fold_intersections}. *)
-
-val variance_disjuncts : t -> Predicate.t list -> float
-val stddev_disjuncts : t -> Predicate.t list -> float
+(** [Summary.estimate_groups_with_stddev (summary t)]. *)

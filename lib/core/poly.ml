@@ -55,6 +55,16 @@
    the previous boxed-record layout, so solver trajectories — every
    intermediate float — are bitwise identical to that layout's.
 
+   The tables the read-only kernels walk (alpha, attribute sums, prefix
+   sums, and each group's fa/iv CSR, factors, t_mask, dprod and
+   mask_bits) are float64/int Bigarrays, allocated once per build.  That
+   is what lets a format-v3 file be answered in place: [of_views] wraps
+   Bigarray views of a mapped file in a read-only [t], and every query
+   runs through this one kernel whether a build allocated the tables or
+   they live in the page cache.  A read-only polynomial has no Phi: it takes n
+   and the marginal offsets from its caller, keeps empty update-path
+   tables, and its mutators raise [Invalid_argument].
+
    Restricted evaluation walks these arrays with zero per-call
    minor-heap allocation: interval intersections are merged prefix-sum
    walks (never materialized), and the per-call accumulators (restricted
@@ -70,6 +80,10 @@
 
 open Edb_util
 open Edb_storage
+module A1 = Bigarray.Array1
+
+type fbuf = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
+type ibuf = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
 
 type group = {
   g_attrs : int array; (* ascending *)
@@ -79,19 +93,19 @@ type group = {
   ts_off : int array; (* length n_terms + 1 *)
   ts_stat : int array;
   (* term -> factor slots, one per attribute S restricts, ascending (CSR) *)
-  fa_off : int array; (* length n_terms + 1 *)
-  fa_attr : int array; (* slot -> attribute *)
-  factors : float array; (* slot -> cached F_i(S) = sum of alpha inside *)
+  fa_off : ibuf; (* length n_terms + 1 *)
+  fa_attr : ibuf; (* slot -> attribute *)
+  factors : fbuf; (* slot -> cached F_i(S) = sum of alpha inside *)
   (* slot -> projection-intersection intervals, ascending (CSR) *)
-  iv_off : int array; (* length #slots + 1 *)
-  iv_lo : int array;
-  iv_hi : int array;
+  iv_off : ibuf; (* length #slots + 1 *)
+  iv_lo : ibuf;
+  iv_hi : ibuf;
   (* per-term caches *)
-  t_mask : int array; (* mask id within the group *)
+  t_mask : ibuf; (* mask id within the group *)
   fprod : float array; (* prod of the term's factors *)
-  dprod : float array; (* prod_{j in S} (alpha_j - 1); 1 for the base *)
+  dprod : fbuf; (* prod_{j in S} (alpha_j - 1); 1 for the base *)
   value : float array; (* fprod * dprod — part (ii) only *)
-  mask_bits : int array; (* mask id -> bitset over local attr indices *)
+  mask_bits : ibuf; (* mask id -> bitset over local attr indices *)
   mask_sum : float array; (* mask id -> sum of its terms' values *)
   mask_outer : float array; (* mask id -> prod of A_i over unmasked locals *)
   mutable q : float;
@@ -115,17 +129,19 @@ type scratch = {
 }
 
 type t = {
-  phi : Phi.t;
+  phi : Phi.t option; (* None: read-only, over caller-owned views *)
   schema : Schema.t;
   m : int;
-  alpha : float array; (* one variable per statistic, indexed by stat id *)
-  attr_sums : float array; (* A_i *)
+  n : int; (* cardinality *)
+  marg_off : int array; (* attr -> stat id of its value-0 marginal *)
+  alpha : fbuf; (* one variable per statistic, indexed by stat id *)
+  attr_sums : fbuf; (* A_i *)
   groups : group array;
   group_of_attr : int array; (* attr -> group index, or -1 if free *)
   group_of_stat : (int, int) Hashtbl.t; (* joint stat id -> group index *)
   free_attrs : int array;
   mutable p : float;
-  prefix : float array array; (* attr -> prefix sums of alpha, length N_i+1 *)
+  prefix : fbuf array; (* attr -> prefix sums of alpha, length N_i+1 *)
   mutable prefix_valid : bool;
   scratch : scratch;
   scratch_busy : bool Atomic.t; (* claimed by an in-flight evaluation *)
@@ -163,41 +179,53 @@ let scratch_alloc_counter = Edb_obs.Registry.counter "kernel_scratch_allocs"
 (* Cached-state maintenance                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The polynomial's Phi, for the solver and ingest paths; a read-only
+   polynomial over mapped tables has none, so every mutator (and every
+   query that needs the statistic set) refuses it here. *)
+let writable t fn =
+  match t.phi with
+  | Some phi -> phi
+  | None -> invalid_arg (fn ^ ": read-only polynomial over mapped tables")
+
+(* A read-only polynomial's prefix sums come with its tables and stay
+   valid forever (nothing can change alpha), so this never writes
+   through a view. *)
 let ensure_prefix t =
   if not t.prefix_valid then begin
     for i = 0 to t.m - 1 do
       let size = Schema.domain_size t.schema i in
-      let pre = t.prefix.(i) in
-      pre.(0) <- 0.;
+      let pre = t.prefix.(i) and off = t.marg_off.(i) in
+      pre.{0} <- 0.;
       for v = 0 to size - 1 do
-        pre.(v + 1) <-
-          pre.(v) +. t.alpha.(Phi.marginal_id t.phi ~attr:i ~value:v)
+        pre.{v + 1} <- pre.{v} +. t.alpha.{off + v}
       done
     done;
     t.prefix_valid <- true
   end
 
-(* Sum of alpha over a value set, via prefix sums: O(#intervals). *)
-let[@inline] range_sum t ~attr r =
-  let pre = t.prefix.(attr) in
+(* Sum of alpha over a value set, via the attribute's prefix sums [pre]
+   (cached or weighted): O(#intervals). *)
+let[@inline] range_sum (pre : fbuf) r =
   let acc = ref 0. in
   for k = 0 to Ranges.num_intervals r - 1 do
     acc :=
-      !acc +. pre.(Ranges.interval_hi r k + 1) -. pre.(Ranges.interval_lo r k)
+      !acc +. pre.{Ranges.interval_hi r k + 1} -. pre.{Ranges.interval_lo r k}
   done;
   !acc
 
 (* Sum of [pre] over factor slot [s]'s own intervals.  Unsafe accesses:
    interval bounds are validated against the attribute domain at
-   construction, and offsets index arrays built from the same counts. *)
-let[@inline] slot_sum pre g s =
+   construction (or, for mapped tables, checksummed bytes a valid
+   polynomial exported), and offsets index arrays built from the same
+   counts. *)
+let[@inline] slot_sum (pre : fbuf) g s =
   let iv_lo = g.iv_lo and iv_hi = g.iv_hi in
   let acc = ref 0. in
-  for k = g.iv_off.(s) to g.iv_off.(s + 1) - 1 do
+  for k = A1.unsafe_get g.iv_off s to A1.unsafe_get g.iv_off (s + 1) - 1 do
     acc :=
       !acc
-      +. Array.unsafe_get pre (Array.unsafe_get iv_hi k + 1)
-      -. Array.unsafe_get pre (Array.unsafe_get iv_lo k)
+      +. A1.unsafe_get pre (A1.unsafe_get iv_hi k + 1)
+      -. A1.unsafe_get pre (A1.unsafe_get iv_lo k)
   done;
   !acc
 
@@ -205,33 +233,33 @@ let[@inline] slot_sum pre g s =
    [Ranges.inter] performs, summed directly instead of materialized.
    Interval order and summation order match [range_sum] over the
    materialized intersection, so the result is bitwise identical. *)
-let[@inline] inter_sum pre g s qr =
+let[@inline] inter_sum (pre : fbuf) g s qr =
   let iv_lo = g.iv_lo and iv_hi = g.iv_hi in
   let acc = ref 0. in
-  let k = ref g.iv_off.(s) and j = ref 0 in
-  let k1 = g.iv_off.(s + 1) and nq = Ranges.num_intervals qr in
+  let k = ref (A1.unsafe_get g.iv_off s) and j = ref 0 in
+  let k1 = A1.unsafe_get g.iv_off (s + 1) and nq = Ranges.num_intervals qr in
   while !k < k1 && !j < nq do
-    let alo = Array.unsafe_get iv_lo !k and ahi = Array.unsafe_get iv_hi !k in
+    let alo = A1.unsafe_get iv_lo !k and ahi = A1.unsafe_get iv_hi !k in
     let blo = Ranges.interval_lo qr !j and bhi = Ranges.interval_hi qr !j in
     let lo = if alo > blo then alo else blo in
     let hi = if ahi < bhi then ahi else bhi in
     if lo <= hi then
-      acc := !acc +. Array.unsafe_get pre (hi + 1) -. Array.unsafe_get pre lo;
+      acc := !acc +. A1.unsafe_get pre (hi + 1) -. A1.unsafe_get pre lo;
     if ahi < bhi then incr k else incr j
   done;
   !acc
 
 let[@inline] fprod_of g ti =
   let acc = ref 1. in
-  for s = g.fa_off.(ti) to g.fa_off.(ti + 1) - 1 do
-    acc := !acc *. g.factors.(s)
+  for s = g.fa_off.{ti} to g.fa_off.{ti + 1} - 1 do
+    acc := !acc *. g.factors.{s}
   done;
   !acc
 
 let[@inline] dprod_of t g ti =
   let acc = ref 1. in
   for s = g.ts_off.(ti) to g.ts_off.(ti + 1) - 1 do
-    acc := !acc *. (t.alpha.(g.ts_stat.(s)) -. 1.)
+    acc := !acc *. (t.alpha.{g.ts_stat.(s)} -. 1.)
   done;
   !acc
 
@@ -240,12 +268,12 @@ let[@inline] dprod_of t g ti =
 let recompute_group_q t g =
   let n_local = Array.length g.g_attrs in
   let q = ref 0. in
-  for k = 0 to Array.length g.mask_bits - 1 do
-    let bits = g.mask_bits.(k) in
+  for k = 0 to A1.dim g.mask_bits - 1 do
+    let bits = g.mask_bits.{k} in
     let outer = ref 1. in
     for li = 0 to n_local - 1 do
       if bits land (1 lsl li) = 0 then
-        outer := !outer *. t.attr_sums.(g.g_attrs.(li))
+        outer := !outer *. t.attr_sums.{g.g_attrs.(li)}
     done;
     g.mask_outer.(k) <- !outer;
     q := !q +. (g.mask_sum.(k) *. !outer)
@@ -255,7 +283,7 @@ let recompute_group_q t g =
 let compute_p t =
   let p = ref 1. in
   for k = 0 to Array.length t.free_attrs - 1 do
-    p := !p *. t.attr_sums.(t.free_attrs.(k))
+    p := !p *. t.attr_sums.{t.free_attrs.(k)}
   done;
   for gi = 0 to Array.length t.groups - 1 do
     p := !p *. t.groups.(gi).q
@@ -263,23 +291,24 @@ let compute_p t =
   !p
 
 let refresh t =
+  ignore (writable t "Poly.refresh");
   t.prefix_valid <- false;
   ensure_prefix t;
   for i = 0 to t.m - 1 do
-    t.attr_sums.(i) <- t.prefix.(i).(Schema.domain_size t.schema i)
+    t.attr_sums.{i} <- t.prefix.(i).{Schema.domain_size t.schema i}
   done;
   Array.iter
     (fun g ->
       Array.fill g.mask_sum 0 (Array.length g.mask_sum) 0.;
       for ti = 0 to g.n_terms - 1 do
-        for s = g.fa_off.(ti) to g.fa_off.(ti + 1) - 1 do
-          g.factors.(s) <- slot_sum t.prefix.(g.fa_attr.(s)) g s
+        for s = g.fa_off.{ti} to g.fa_off.{ti + 1} - 1 do
+          g.factors.{s} <- slot_sum t.prefix.(g.fa_attr.{s}) g s
         done;
         g.fprod.(ti) <- fprod_of g ti;
-        g.dprod.(ti) <- dprod_of t g ti;
-        g.value.(ti) <- g.fprod.(ti) *. g.dprod.(ti);
-        g.mask_sum.(g.t_mask.(ti)) <-
-          g.mask_sum.(g.t_mask.(ti)) +. g.value.(ti)
+        g.dprod.{ti} <- dprod_of t g ti;
+        g.value.(ti) <- g.fprod.(ti) *. g.dprod.{ti};
+        g.mask_sum.(g.t_mask.{ti}) <-
+          g.mask_sum.(g.t_mask.{ti}) +. g.value.(ti)
       done;
       recompute_group_q t g)
     t.groups;
@@ -294,7 +323,7 @@ let make_scratch schema groups =
   Array.iter
     (fun g ->
       max_attrs := max !max_attrs (Array.length g.g_attrs);
-      max_masks := max !max_masks (Array.length g.mask_bits))
+      max_masks := max !max_masks (A1.dim g.mask_bits))
     groups;
   let max_dom = ref 1 in
   for i = 0 to Schema.arity schema - 1 do
@@ -419,6 +448,13 @@ let enumerate_raw_terms phi ~term_cap ~g_attrs ~g_families =
   dfs 0 [] false;
   !terms
 
+let ibuf_of_array a = A1.of_array Bigarray.int Bigarray.c_layout a
+
+let fbuf_make n x =
+  let b = A1.create Bigarray.float64 Bigarray.c_layout n in
+  A1.fill b x;
+  b
+
 (* Flatten one group's raw terms into the SoA/CSR layout.  Term 0 is the
    base term (no stats, no slots); raw terms follow in enumeration order,
    exactly as the boxed layout stored them. *)
@@ -535,17 +571,17 @@ let build_group schema ~g_attrs ~g_stats ~local_of_attr ~raw_arr ~t_mask
     n_terms = nt;
     ts_off;
     ts_stat;
-    fa_off;
-    fa_attr;
-    factors = Array.make n_slots 0.;
-    iv_off;
-    iv_lo;
-    iv_hi;
-    t_mask;
+    fa_off = ibuf_of_array fa_off;
+    fa_attr = ibuf_of_array fa_attr;
+    factors = fbuf_make n_slots 0.;
+    iv_off = ibuf_of_array iv_off;
+    iv_lo = ibuf_of_array iv_lo;
+    iv_hi = ibuf_of_array iv_hi;
+    t_mask = ibuf_of_array t_mask;
     fprod;
-    dprod = Array.make nt 1.;
+    dprod = fbuf_make nt 1.;
     value;
-    mask_bits;
+    mask_bits = ibuf_of_array mask_bits;
     mask_sum = Array.make (Array.length mask_bits) 0.;
     mask_outer = Array.make (Array.length mask_bits) 1.;
     q = 0.;
@@ -658,18 +694,20 @@ let create ?(term_cap = 2_000_000) phi =
   in
   let t =
     {
-      phi;
+      phi = Some phi;
       schema;
       m;
-      alpha;
-      attr_sums = Array.make m 0.;
+      n = Phi.n phi;
+      marg_off = Array.init m (fun i -> Phi.marginal_id phi ~attr:i ~value:0);
+      alpha = A1.of_array Bigarray.float64 Bigarray.c_layout alpha;
+      attr_sums = fbuf_make m 0.;
       groups;
       group_of_attr;
       group_of_stat;
       free_attrs;
       p = 0.;
       prefix =
-        Array.init m (fun i -> Array.make (Schema.domain_size schema i + 1) 0.);
+        Array.init m (fun i -> fbuf_make (Schema.domain_size schema i + 1) 0.);
       prefix_valid = false;
       scratch = make_scratch schema groups;
       scratch_busy = Atomic.make false;
@@ -679,13 +717,104 @@ let create ?(term_cap = 2_000_000) phi =
   t
 
 (* ------------------------------------------------------------------ *)
+(* Read-only views                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A read-only polynomial over tables someone else owns — in practice
+   the Bigarray views of a mapped format-v3 file.  Only the kernel
+   tables are needed; the update-path tables (ts, bys, byv) and the
+   per-term caches the kernels never read (fprod, value, mask_sum,
+   mask_outer) are left empty, which is safe because every mutator is
+   refused.  The prefix sums arrive finalized, so [ensure_prefix] never
+   writes through the views. *)
+type view_group = {
+  vg_attrs : int array;
+  vg_n_terms : int;
+  vg_q : float;
+  vg_fa_off : ibuf;
+  vg_fa_attr : ibuf;
+  vg_factors : fbuf;
+  vg_iv_off : ibuf;
+  vg_iv_lo : ibuf;
+  vg_iv_hi : ibuf;
+  vg_t_mask : ibuf;
+  vg_dprod : fbuf;
+  vg_mask_bits : ibuf;
+}
+
+let of_views ~schema ~n ~p ~alpha ~attr_sums ~prefix ~free_attrs
+    ~group_of_attr groups =
+  let m = Schema.arity schema in
+  let marg_off = Array.make m 0 in
+  for i = 1 to m - 1 do
+    marg_off.(i) <- marg_off.(i - 1) + Schema.domain_size schema (i - 1)
+  done;
+  let groups =
+    Array.map
+      (fun vg ->
+        {
+          g_attrs = vg.vg_attrs;
+          g_stats = [||];
+          n_terms = vg.vg_n_terms;
+          ts_off = [||];
+          ts_stat = [||];
+          fa_off = vg.vg_fa_off;
+          fa_attr = vg.vg_fa_attr;
+          factors = vg.vg_factors;
+          iv_off = vg.vg_iv_off;
+          iv_lo = vg.vg_iv_lo;
+          iv_hi = vg.vg_iv_hi;
+          t_mask = vg.vg_t_mask;
+          fprod = [||];
+          dprod = vg.vg_dprod;
+          value = [||];
+          mask_bits = vg.vg_mask_bits;
+          mask_sum = [||];
+          mask_outer = [||];
+          q = vg.vg_q;
+          bys_row = Hashtbl.create 1;
+          bys_off = [||];
+          bys_term = [||];
+          byv_off = [||];
+          byv_term = [||];
+          byv_slot = [||];
+        })
+      groups
+  in
+  {
+    phi = None;
+    schema;
+    m;
+    n;
+    marg_off;
+    alpha;
+    attr_sums;
+    groups;
+    group_of_attr;
+    group_of_stat = Hashtbl.create 1;
+    free_attrs;
+    p;
+    prefix;
+    prefix_valid = true;
+    scratch = make_scratch schema groups;
+    scratch_busy = Atomic.make false;
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let phi t = t.phi
+let phi t = writable t "Poly.phi"
+let schema t = t.schema
+let cardinality t = t.n
+let num_stats t = A1.dim t.alpha
+
+let num_marginals t =
+  Array.fold_left ( + ) 0 (Array.init t.m (Schema.domain_size t.schema))
+
 let p t = t.p
-let alpha t j = t.alpha.(j)
-let attr_sum t i = t.attr_sums.(i)
+let alpha t j = t.alpha.{j}
+let attr_sum t i = t.attr_sums.{i}
 let num_terms t = Array.fold_left (fun acc g -> acc + g.n_terms) 0 t.groups
 let num_groups t = Array.length t.groups
 let uncompressed_monomials t = Schema.tuple_space_size t.schema
@@ -704,17 +833,17 @@ type group_tables = {
   gt_n_terms : int;
   gt_ts_off : int array;
   gt_ts_stat : int array;
-  gt_fa_off : int array;
-  gt_fa_attr : int array;
-  gt_factors : float array;
-  gt_iv_off : int array;
-  gt_iv_lo : int array;
-  gt_iv_hi : int array;
-  gt_t_mask : int array;
+  gt_fa_off : ibuf;
+  gt_fa_attr : ibuf;
+  gt_factors : fbuf;
+  gt_iv_off : ibuf;
+  gt_iv_lo : ibuf;
+  gt_iv_hi : ibuf;
+  gt_t_mask : ibuf;
   gt_fprod : float array;
-  gt_dprod : float array;
+  gt_dprod : fbuf;
   gt_value : float array;
-  gt_mask_bits : int array;
+  gt_mask_bits : ibuf;
   gt_mask_sum : float array;
   gt_mask_outer : float array;
   gt_q : float;
@@ -726,9 +855,9 @@ type group_tables = {
 }
 
 type tables = {
-  tb_alpha : float array;
-  tb_attr_sums : float array;
-  tb_prefix : float array array;
+  tb_alpha : fbuf;
+  tb_attr_sums : fbuf;
+  tb_prefix : fbuf array;
   tb_p : float;
   tb_free_attrs : int array;
   tb_group_of_attr : int array;
@@ -775,20 +904,19 @@ let tables t =
     tb_groups = Array.map group_tables t.groups;
   }
 
-(* Resident size estimate in bytes: one word per array element plus the
+(* Resident size estimate in bytes: one word per table element plus the
    prefix tables — the weighted catalog charges heap entries with this. *)
 let footprint_bytes t =
   let word = 8 in
-  let acc = ref (word * (Array.length t.alpha + Array.length t.attr_sums)) in
-  Array.iter (fun pre -> acc := !acc + (word * Array.length pre)) t.prefix;
+  let acc = ref (word * (A1.dim t.alpha + A1.dim t.attr_sums)) in
+  Array.iter (fun pre -> acc := !acc + (word * A1.dim pre)) t.prefix;
   Array.iter
     (fun g ->
       let ints =
-        Array.length g.ts_off + Array.length g.ts_stat + Array.length g.fa_off
-        + Array.length g.fa_attr + Array.length g.iv_off
-        + Array.length g.iv_lo + Array.length g.iv_hi + Array.length g.t_mask
-        + Array.length g.mask_bits + Array.length g.bys_off
-        + Array.length g.bys_term
+        Array.length g.ts_off + Array.length g.ts_stat + A1.dim g.fa_off
+        + A1.dim g.fa_attr + A1.dim g.iv_off + A1.dim g.iv_lo
+        + A1.dim g.iv_hi + A1.dim g.t_mask + A1.dim g.mask_bits
+        + Array.length g.bys_off + Array.length g.bys_term
       in
       let ints =
         Array.fold_left (fun a o -> a + Array.length o) ints g.byv_off
@@ -800,7 +928,7 @@ let footprint_bytes t =
         Array.fold_left (fun a o -> a + Array.length o) ints g.byv_slot
       in
       let floats =
-        Array.length g.factors + Array.length g.fprod + Array.length g.dprod
+        A1.dim g.factors + Array.length g.fprod + A1.dim g.dprod
         + Array.length g.value + Array.length g.mask_sum
         + Array.length g.mask_outer
       in
@@ -817,14 +945,15 @@ let local_of g attr =
   find 0
 
 let set_alpha t j v =
-  let old = t.alpha.(j) in
+  let phi = writable t "Poly.set_alpha" in
+  let old = t.alpha.{j} in
   if old <> v then begin
-    t.alpha.(j) <- v;
+    t.alpha.{j} <- v;
     t.prefix_valid <- false;
-    (match Statistic.kind (Phi.stat t.phi j) with
+    (match Statistic.kind (Phi.stat phi j) with
     | Statistic.Marginal { attr; value } ->
         let delta = v -. old in
-        t.attr_sums.(attr) <- t.attr_sums.(attr) +. delta;
+        t.attr_sums.{attr} <- t.attr_sums.{attr} +. delta;
         let gi = t.group_of_attr.(attr) in
         if gi >= 0 then begin
           let g = t.groups.(gi) in
@@ -833,11 +962,11 @@ let set_alpha t j v =
           let terms = g.byv_term.(li) and slots = g.byv_slot.(li) in
           for p = off.(value) to off.(value + 1) - 1 do
             let ti = terms.(p) and s = slots.(p) in
-            g.factors.(s) <- g.factors.(s) +. delta;
+            g.factors.{s} <- g.factors.{s} +. delta;
             g.fprod.(ti) <- fprod_of g ti;
-            let value' = g.fprod.(ti) *. g.dprod.(ti) in
-            g.mask_sum.(g.t_mask.(ti)) <-
-              g.mask_sum.(g.t_mask.(ti)) +. value' -. g.value.(ti);
+            let value' = g.fprod.(ti) *. g.dprod.{ti} in
+            g.mask_sum.(g.t_mask.{ti}) <-
+              g.mask_sum.(g.t_mask.{ti}) +. value' -. g.value.(ti);
             g.value.(ti) <- value'
           done;
           recompute_group_q t g
@@ -850,10 +979,10 @@ let set_alpha t j v =
         | Some row ->
             for p = g.bys_off.(row) to g.bys_off.(row + 1) - 1 do
               let ti = g.bys_term.(p) in
-              g.dprod.(ti) <- dprod_of t g ti;
-              let value' = g.fprod.(ti) *. g.dprod.(ti) in
-              g.mask_sum.(g.t_mask.(ti)) <-
-                g.mask_sum.(g.t_mask.(ti)) +. value' -. g.value.(ti);
+              g.dprod.{ti} <- dprod_of t g ti;
+              let value' = g.fprod.(ti) *. g.dprod.{ti} in
+              g.mask_sum.(g.t_mask.{ti}) <-
+                g.mask_sum.(g.t_mask.{ti}) +. value' -. g.value.(ti);
               g.value.(ti) <- value'
             done);
         recompute_group_q t g);
@@ -868,14 +997,15 @@ let set_alpha t j v =
    unrealizable targets (noisy or privatized statistics) make the
    coordinate iteration drift P towards 0 or infinity. *)
 let normalize t =
+  ignore (writable t "Poly.normalize");
   let changed = ref false in
   for i = 0 to t.m - 1 do
-    let a = t.attr_sums.(i) in
+    let a = t.attr_sums.{i} in
     if a > 0. && a <> 1. then begin
       changed := true;
       for v = 0 to Schema.domain_size t.schema i - 1 do
-        let j = Phi.marginal_id t.phi ~attr:i ~value:v in
-        t.alpha.(j) <- t.alpha.(j) /. a
+        let j = t.marg_off.(i) + v in
+        t.alpha.{j} <- t.alpha.{j} /. a
       done
     end
   done;
@@ -885,27 +1015,29 @@ let normalize t =
    updates and by deserialization): copy the whole vector, then rebuild all
    cached state in one pass. *)
 let set_alphas t values =
-  if Array.length values <> Array.length t.alpha then
+  ignore (writable t "Poly.set_alphas");
+  if Array.length values <> A1.dim t.alpha then
     invalid_arg "Poly.set_alphas: wrong vector length";
-  Array.blit values 0 t.alpha 0 (Array.length values);
+  Array.iteri (fun j v -> t.alpha.{j} <- v) values;
   refresh t
 
-let alphas t = Array.copy t.alpha
+let alphas t = Array.init (A1.dim t.alpha) (fun j -> t.alpha.{j})
 
 (* Reset variables to an initialization strategy: [`Marginals] seeds 1D
    variables at s_j/n (exact for a marginals-only model), [`Uniform] seeds
    everything at 1 (the uninformed start).  Joints start at 1 in both. *)
 let reinit t strategy =
-  let n = float_of_int (Phi.n t.phi) in
+  let phi = writable t "Poly.reinit" in
+  let n = float_of_int t.n in
   Array.iter
     (fun s ->
       let j = Statistic.id s in
-      t.alpha.(j) <-
+      t.alpha.{j} <-
         (match (Statistic.kind s, strategy) with
         | Statistic.Marginal _, `Marginals ->
             if n > 0. then Statistic.target s /. n else 0.
         | _, _ -> 1.))
-    (Phi.stats t.phi);
+    (Phi.stats phi);
   refresh t
 
 (* ------------------------------------------------------------------ *)
@@ -916,7 +1048,7 @@ let reinit t strategy =
 let outer_product t ~skip_attr ~skip_group =
   let acc = ref 1. in
   Array.iter
-    (fun i -> if i <> skip_attr then acc := !acc *. t.attr_sums.(i))
+    (fun i -> if i <> skip_attr then acc := !acc *. t.attr_sums.{i})
     t.free_attrs;
   Array.iteri
     (fun gi g -> if gi <> skip_group then acc := !acc *. g.q)
@@ -925,17 +1057,17 @@ let outer_product t ~skip_attr ~skip_group =
 
 let[@inline] factors_product_excluding g ti ~slot =
   let acc = ref 1. in
-  for s = g.fa_off.(ti) to g.fa_off.(ti + 1) - 1 do
-    if s <> slot then acc := !acc *. g.factors.(s)
+  for s = g.fa_off.{ti} to g.fa_off.{ti + 1} - 1 do
+    if s <> slot then acc := !acc *. g.factors.{s}
   done;
   !acc
 
 (* dP/dalpha_j.  P is linear in every variable (each statistic predicate is
    0/1 on every tuple), so the derivative is the sum of the terms whose
    monomials contain the variable, with the variable's own factor
-   removed. *)
+   removed.  Needs the update-path tables, so solver-only. *)
 let partial t j =
-  match Statistic.kind (Phi.stat t.phi j) with
+  match Statistic.kind (Phi.stat (writable t "Poly.partial") j) with
   | Statistic.Marginal { attr; value } ->
       let gi = t.group_of_attr.(attr) in
       if gi < 0 then outer_product t ~skip_attr:attr ~skip_group:(-1)
@@ -946,13 +1078,13 @@ let partial t j =
         let dq = ref 0. in
         (* Masks not restricting [attr]: the variable enters through the
            full attribute sum A_attr of the outer product. *)
-        for k = 0 to Array.length g.mask_bits - 1 do
-          let bits = g.mask_bits.(k) in
+        for k = 0 to A1.dim g.mask_bits - 1 do
+          let bits = g.mask_bits.{k} in
           if bits land (1 lsl li) = 0 then begin
             let outer = ref 1. in
             for li' = 0 to n_local - 1 do
               if li' <> li && bits land (1 lsl li') = 0 then
-                outer := !outer *. t.attr_sums.(g.g_attrs.(li'))
+                outer := !outer *. t.attr_sums.{g.g_attrs.(li')}
             done;
             dq := !dq +. (g.mask_sum.(k) *. !outer)
           end
@@ -966,7 +1098,7 @@ let partial t j =
           dq :=
             !dq
             +. factors_product_excluding g ti ~slot:slots.(p)
-               *. g.dprod.(ti) *. g.mask_outer.(g.t_mask.(ti))
+               *. g.dprod.{ti} *. g.mask_outer.(g.t_mask.{ti})
         done;
         outer_product t ~skip_attr:(-1) ~skip_group:gi *. !dq
       end
@@ -982,16 +1114,16 @@ let partial t j =
             let rest = ref 1. in
             for s = g.ts_off.(ti) to g.ts_off.(ti + 1) - 1 do
               let j' = g.ts_stat.(s) in
-              if j' <> j then rest := !rest *. (t.alpha.(j') -. 1.)
+              if j' <> j then rest := !rest *. (t.alpha.{j'} -. 1.)
             done;
-            dq := !dq +. (g.fprod.(ti) *. !rest *. g.mask_outer.(g.t_mask.(ti)))
+            dq := !dq +. (g.fprod.(ti) *. !rest *. g.mask_outer.(g.t_mask.{ti}))
           done);
       outer_product t ~skip_attr:(-1) ~skip_group:gi *. !dq
 
 (* E[<c_j, I>] = n * alpha_j * dP/dalpha_j / P   (Eq. 8). *)
 let expected t j =
   if t.p <= 0. then 0.
-  else float_of_int (Phi.n t.phi) *. t.alpha.(j) *. partial t j /. t.p
+  else float_of_int t.n *. t.alpha.{j} *. partial t j /. t.p
 
 (* ------------------------------------------------------------------ *)
 (* Restricted evaluation: query answering by zeroing (Sec. 4.2)        *)
@@ -1021,8 +1153,8 @@ let set_cancellation_floor f = cancellation_floor := f
    leaves attribute [i] free). *)
 let[@inline] restricted_attr_sum t query i =
   match Predicate.restriction query i with
-  | None -> t.attr_sums.(i)
-  | Some r -> range_sum t ~attr:i r
+  | None -> t.attr_sums.{i}
+  | Some r -> range_sum t.prefix.(i) r
 
 (* Restricted masses of terms [lo, hi) accumulated into [msum] by mask:
    the inner loop of both restricted kernels.  A top-level function, not
@@ -1036,21 +1168,20 @@ let accumulate_masses t query g msum ~lo ~hi =
   and prefix = t.prefix in
   let f = ref 0. in
   for ti = lo to hi - 1 do
-    f := Array.unsafe_get dprod ti;
+    f := A1.unsafe_get dprod ti;
     (try
-       for s = Array.unsafe_get fa_off ti to Array.unsafe_get fa_off (ti + 1) - 1
-       do
-         let i = Array.unsafe_get fa_attr s in
+       for s = A1.unsafe_get fa_off ti to A1.unsafe_get fa_off (ti + 1) - 1 do
+         let i = A1.unsafe_get fa_attr s in
          let factor =
            match Predicate.restriction query i with
-           | None -> Array.unsafe_get factors s
+           | None -> A1.unsafe_get factors s
            | Some qr -> inter_sum (Array.unsafe_get prefix i) g s qr
          in
          if factor = 0. then raise Exit;
          f := !f *. factor
        done
      with Exit -> f := 0.);
-    let mask = Array.unsafe_get t_mask ti in
+    let mask = A1.unsafe_get t_mask ti in
     Array.unsafe_set msum mask (Array.unsafe_get msum mask +. !f)
   done
 
@@ -1064,7 +1195,7 @@ let restricted_group_q t query g sc =
   for li = 0 to n_local - 1 do
     sc.ra.(li) <- restricted_attr_sum t query g.g_attrs.(li)
   done;
-  let num_masks = Array.length g.mask_bits in
+  let num_masks = A1.dim g.mask_bits in
   let msum =
     if g.n_terms >= !parallel_threshold && !parallelism > 1 then
       Parallel.fold ~domains:!parallelism ~n:g.n_terms
@@ -1085,7 +1216,7 @@ let restricted_group_q t query g sc =
   let q = ref 0. in
   for k = 0 to num_masks - 1 do
     if msum.(k) <> 0. then begin
-      let bits = g.mask_bits.(k) in
+      let bits = g.mask_bits.{k} in
       let outer = ref 1. in
       for li = 0 to n_local - 1 do
         if bits land (1 lsl li) = 0 then outer := !outer *. sc.ra.(li)
@@ -1112,7 +1243,7 @@ let eval_restricted_sc t query sc =
   done;
   !acc
 
-let[@inline] alpha_of t ~attr v = t.alpha.(Phi.marginal_id t.phi ~attr ~value:v)
+let[@inline] alpha_of t ~attr v = t.alpha.{t.marg_off.(attr) + v}
 
 (* Term pass of the batched GROUP BY kernel over terms [lo, hi): masses
    of terms leaving [attr] unmasked accumulate into [msum] by mask;
@@ -1132,22 +1263,21 @@ let accumulate_by_value t query g ~attr ~q_attr coef msum scatter ~lo ~hi =
   and prefix = t.prefix in
   let f = ref 0. in
   for ti = lo to hi - 1 do
-    let s0 = Array.unsafe_get fa_off ti
-    and s1 = Array.unsafe_get fa_off (ti + 1) in
+    let s0 = A1.unsafe_get fa_off ti and s1 = A1.unsafe_get fa_off (ti + 1) in
     (* One pass over the slots: multiply the non-[attr] factors in slot
        order (the order the boxed layout used) while remembering [attr]'s
        slot.  Slots are one-per-attribute, so skipping [attr] inline is
        the same exclusion as a separate scan. *)
     let attr_slot = ref (-1) in
-    f := Array.unsafe_get dprod ti;
+    f := A1.unsafe_get dprod ti;
     (try
        for s = s0 to s1 - 1 do
-         let i = Array.unsafe_get fa_attr s in
+         let i = A1.unsafe_get fa_attr s in
          if i = attr then attr_slot := s
          else begin
            let factor =
              match Predicate.restriction query i with
-             | None -> Array.unsafe_get factors s
+             | None -> A1.unsafe_get factors s
              | Some qr -> inter_sum (Array.unsafe_get prefix i) g s qr
            in
            if factor = 0. then raise Exit;
@@ -1158,28 +1288,28 @@ let accumulate_by_value t query g ~attr ~q_attr coef msum scatter ~lo ~hi =
     let attr_slot = !attr_slot in
     let fv = !f in
     if fv <> 0. then
-      let mask = Array.unsafe_get t_mask ti in
+      let mask = A1.unsafe_get t_mask ti in
       if attr_slot < 0 then
         Array.unsafe_set msum mask (Array.unsafe_get msum mask +. fv)
       else begin
         let w = fv *. Array.unsafe_get coef mask in
         match q_attr with
         | None ->
-            for k = Array.unsafe_get iv_off attr_slot
-                 to Array.unsafe_get iv_off (attr_slot + 1) - 1
+            for k = A1.unsafe_get iv_off attr_slot
+                 to A1.unsafe_get iv_off (attr_slot + 1) - 1
             do
-              for v = Array.unsafe_get iv_lo k to Array.unsafe_get iv_hi k do
+              for v = A1.unsafe_get iv_lo k to A1.unsafe_get iv_hi k do
                 Array.unsafe_set scatter v (Array.unsafe_get scatter v +. w)
               done
             done
         | Some qr ->
             (* Merge walk over (slot ∩ query), as in [inter_sum]. *)
-            let k = ref (Array.unsafe_get iv_off attr_slot) and j = ref 0 in
-            let k1 = Array.unsafe_get iv_off (attr_slot + 1) in
+            let k = ref (A1.unsafe_get iv_off attr_slot) and j = ref 0 in
+            let k1 = A1.unsafe_get iv_off (attr_slot + 1) in
             let nq = Ranges.num_intervals qr in
             while !k < k1 && !j < nq do
-              let alo = Array.unsafe_get iv_lo !k
-              and ahi = Array.unsafe_get iv_hi !k in
+              let alo = A1.unsafe_get iv_lo !k
+              and ahi = A1.unsafe_get iv_hi !k in
               let blo = Ranges.interval_lo qr !j
               and bhi = Ranges.interval_hi qr !j in
               let lo = if alo > blo then alo else blo in
@@ -1248,12 +1378,12 @@ let eval_by_value_sc t query ~attr out sc =
     let g = t.groups.(gi) in
     let li = local_of g attr in
     let n_local = Array.length g.g_attrs in
-    let num_masks = Array.length g.mask_bits in
+    let num_masks = A1.dim g.mask_bits in
     (* Per-mask outer products over the group's other attributes;
        [attr]'s own factor is applied per cell. *)
     let coef = sc.coef in
     for k = 0 to num_masks - 1 do
-      let bits = g.mask_bits.(k) in
+      let bits = g.mask_bits.{k} in
       let outer = ref 1. in
       for li' = 0 to n_local - 1 do
         if li' <> li && bits land (1 lsl li') = 0 then
@@ -1287,7 +1417,7 @@ let eval_by_value_sc t query ~attr out sc =
        products; these enter every cell through alpha_{attr,v}. *)
     let scalar = ref 0. in
     for k = 0 to num_masks - 1 do
-      if g.mask_bits.(k) land (1 lsl li) = 0 && msum.(k) <> 0. then
+      if g.mask_bits.{k} land (1 lsl li) = 0 && msum.(k) <> 0. then
         scalar := !scalar +. (msum.(k) *. coef.(k))
     done;
     let scalar = !scalar in
@@ -1332,11 +1462,11 @@ let eval_weighted_impl t query ~weights =
     List.iter
       (fun (attr, w) ->
         let size = Schema.domain_size t.schema attr in
-        let pre = Array.make (size + 1) 0. in
+        let pre = fbuf_make (size + 1) 0. in
         for v = 0 to size - 1 do
-          let wa = t.alpha.(Phi.marginal_id t.phi ~attr ~value:v) *. w v in
+          let wa = alpha_of t ~attr v *. w v in
           if wa < 0. then all_nonneg := false;
-          pre.(v + 1) <- pre.(v) +. wa
+          pre.{v + 1} <- pre.{v} +. wa
         done;
         Hashtbl.replace overridden attr pre)
       weights;
@@ -1345,32 +1475,24 @@ let eval_weighted_impl t query ~weights =
       | Some pre -> pre
       | None -> t.prefix.(attr)
   in
-  let range_sum_pre pre r =
-    let acc = ref 0. in
-    for k = 0 to Ranges.num_intervals r - 1 do
-      acc :=
-        !acc +. pre.(Ranges.interval_hi r k + 1) -. pre.(Ranges.interval_lo r k)
-    done;
-    !acc
-  in
   let attr_total i =
     let pre = prefix_of i in
     match Predicate.restriction query i with
-    | None -> pre.(Schema.domain_size t.schema i)
-    | Some r -> range_sum_pre pre r
+    | None -> pre.{Schema.domain_size t.schema i}
+    | Some r -> range_sum pre r
   in
   let acc = ref 1. in
   Array.iter (fun i -> acc := !acc *. attr_total i) t.free_attrs;
   Array.iter
     (fun g ->
       let totals = Array.map attr_total g.g_attrs in
-      let num_masks = Array.length g.mask_bits in
+      let num_masks = A1.dim g.mask_bits in
       let msum = Array.make num_masks 0. in
       for ti = 0 to g.n_terms - 1 do
-        let f = ref g.dprod.(ti) in
+        let f = ref g.dprod.{ti} in
         (try
-           for s = g.fa_off.(ti) to g.fa_off.(ti + 1) - 1 do
-             let i = g.fa_attr.(s) in
+           for s = g.fa_off.{ti} to g.fa_off.{ti + 1} - 1 do
+             let i = g.fa_attr.{s} in
              let pre = prefix_of i in
              let factor =
                match Predicate.restriction query i with
@@ -1381,20 +1503,20 @@ let eval_weighted_impl t query ~weights =
              f := !f *. factor
            done
          with Exit -> f := 0.);
-        msum.(g.t_mask.(ti)) <- msum.(g.t_mask.(ti)) +. !f
+        msum.(g.t_mask.{ti}) <- msum.(g.t_mask.{ti}) +. !f
       done;
       let q = ref 0. in
-      Array.iteri
-        (fun k bits ->
-          if msum.(k) <> 0. then begin
-            let outer = ref 1. in
-            Array.iteri
-              (fun li _ ->
-                if bits land (1 lsl li) = 0 then outer := !outer *. totals.(li))
-              g.g_attrs;
-            q := !q +. (msum.(k) *. !outer)
-          end)
-        g.mask_bits;
+      for k = 0 to num_masks - 1 do
+        if msum.(k) <> 0. then begin
+          let bits = g.mask_bits.{k} in
+          let outer = ref 1. in
+          Array.iteri
+            (fun li _ ->
+              if bits land (1 lsl li) = 0 then outer := !outer *. totals.(li))
+            g.g_attrs;
+          q := !q +. (msum.(k) *. !outer)
+        end
+      done;
       (* With non-negative weights Q_g is a sum of non-negative monomials
          exactly as in [eval_restricted]; apply the same cancellation
          clamp.  Genuinely signed weights keep their sign. *)
@@ -1480,25 +1602,26 @@ let eval_weighted t query ~weights =
 let estimate t query =
   if Predicate.is_unsatisfiable query then 0.
   else if t.p <= 0. then 0.
-  else float_of_int (Phi.n t.phi) *. eval_restricted t query /. t.p
+  else float_of_int t.n *. eval_restricted t query /. t.p
 
 let estimate_weighted t query ~weights =
   if Predicate.is_unsatisfiable query then 0.
   else if t.p <= 0. then 0.
-  else float_of_int (Phi.n t.phi) *. eval_weighted t query ~weights /. t.p
+  else float_of_int t.n *. eval_weighted t query ~weights /. t.p
 
 (* The dual objective Psi = sum_j s_j ln alpha_j - n ln P  (Eq. 11).
    Statistics with s_j = 0 contribute lim_{a->0} 0*ln a = 0. *)
 let dual t =
+  let phi = writable t "Poly.dual" in
   let acc = ref 0. in
   Array.iter
     (fun s ->
       let sj = Statistic.target s in
       if sj > 0. then begin
-        let a = t.alpha.(Statistic.id s) in
+        let a = t.alpha.{Statistic.id s} in
         if a > 0. then acc := !acc +. (sj *. log a)
         else acc := Float.neg_infinity
       end)
-    (Phi.stats t.phi);
-  if t.p > 0. then !acc -. (float_of_int (Phi.n t.phi) *. log t.p)
+    (Phi.stats phi);
+  if t.p > 0. then !acc -. (float_of_int t.n *. log t.p)
   else Float.neg_infinity

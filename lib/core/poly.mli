@@ -10,6 +10,12 @@ open Edb_storage
 
 type t
 
+type fbuf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type ibuf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** The kernel tables' storage: flat float64 and native-int Bigarrays,
+    so the same kernel runs over tables a build allocated and over the
+    views of a mapped format-v3 file ({!of_views}). *)
+
 exception Too_many_terms of { cap : int; group_attrs : int list }
 
 val layout : string
@@ -26,6 +32,16 @@ val create : ?term_cap:int -> Phi.t -> t
     this attribute topology. *)
 
 val phi : t -> Phi.t
+(** Raises [Invalid_argument] on a read-only polynomial ({!of_views}),
+    which has no statistic set. *)
+
+val schema : t -> Schema.t
+
+val cardinality : t -> int
+(** n, the summarized relation's row count. *)
+
+val num_stats : t -> int
+val num_marginals : t -> int
 
 val p : t -> float
 (** Current value of P at the current variable assignment. *)
@@ -38,7 +54,12 @@ val attr_sum : t -> int -> float
 
 val set_alpha : t -> int -> float -> unit
 (** Incremental single-variable update; maintains all cached sums, group
-    values, and P in O(terms containing the variable). *)
+    values, and P in O(terms containing the variable).
+
+    This and every other mutator ({!refresh}, {!normalize},
+    {!set_alphas}, {!reinit}) — plus the solver-only {!partial},
+    {!expected} and {!dual} — raise [Invalid_argument] on a read-only
+    polynomial. *)
 
 val refresh : t -> unit
 (** Recompute every cached quantity from the variable vector (washes out
@@ -96,14 +117,19 @@ val set_parallelism : ?threshold:int -> int -> unit
 (** Worker domains for restricted evaluation over large groups (default:
     the [EDB_DOMAINS] environment variable, else 1).  [threshold] is the
     minimum group term count for parallel evaluation (default 30,000;
-    overridable for testing). *)
+    overridable for testing).  Read-only polynomials over mapped tables
+    take the same parallel path, so heap and mapped answers stay
+    bitwise equal at any setting. *)
 
 val set_cancellation_floor : float -> unit
 (** Floor of the cancellation clamp applied to restricted group values
     (default 0, the correct value).  Exists solely for fault injection:
     the correctness harness ([entropydb check --mutate clamp]) raises it
     to plant a known estimator bug and assert that the oracle battery
-    catches it.  Never set this in production code. *)
+    catches it ([kernel-soa], [groupby-total] and the brute-force
+    oracles do; [mmap-v3] cannot, since heap and mapped summaries share
+    this kernel and carry the bug alike).  Never set this in production
+    code. *)
 
 val estimate : t -> Predicate.t -> float
 (** E[⟨q, I⟩] = n·P\[zeroed\]/P for a conjunctive counting query. *)
@@ -139,8 +165,9 @@ val uncompressed_monomials : t -> float
 (** {2 Table export (summary format v3)}
 
     The flat SoA/CSR tables behind the kernel, exposed so the zero-copy
-    serializer can write them to disk verbatim: a mapped summary's
-    evaluation then walks bitwise the same data the heap kernel does.
+    serializer can write them to disk verbatim: a mapped summary
+    ({!of_views}) then evaluates bitwise the same tables the built
+    polynomial does.
     All arrays are {e shared} with the polynomial — treat them as
     read-only snapshots of the current solved state. *)
 
@@ -150,17 +177,17 @@ type group_tables = {
   gt_n_terms : int;
   gt_ts_off : int array;
   gt_ts_stat : int array;
-  gt_fa_off : int array;
-  gt_fa_attr : int array;
-  gt_factors : float array;
-  gt_iv_off : int array;
-  gt_iv_lo : int array;
-  gt_iv_hi : int array;
-  gt_t_mask : int array;
+  gt_fa_off : ibuf;
+  gt_fa_attr : ibuf;
+  gt_factors : fbuf;
+  gt_iv_off : ibuf;
+  gt_iv_lo : ibuf;
+  gt_iv_hi : ibuf;
+  gt_t_mask : ibuf;
   gt_fprod : float array;
-  gt_dprod : float array;
+  gt_dprod : fbuf;
   gt_value : float array;
-  gt_mask_bits : int array;
+  gt_mask_bits : ibuf;
   gt_mask_sum : float array;
   gt_mask_outer : float array;
   gt_q : float;
@@ -172,9 +199,9 @@ type group_tables = {
 }
 
 type tables = {
-  tb_alpha : float array;
-  tb_attr_sums : float array;
-  tb_prefix : float array array;
+  tb_alpha : fbuf;
+  tb_attr_sums : fbuf;
+  tb_prefix : fbuf array;
   tb_p : float;
   tb_free_attrs : int array;
   tb_group_of_attr : int array;
@@ -185,6 +212,43 @@ val tables : t -> tables
 (** Current tables (prefix sums finalized first).  Call {!refresh}
     beforehand to wash out incremental drift when a canonical
     (rebuild-from-α) state is required, as the v3 writer does. *)
+
+(** {2 Read-only polynomials over mapped tables} *)
+
+type view_group = {
+  vg_attrs : int array;  (** ascending *)
+  vg_n_terms : int;
+  vg_q : float;  (** Q_g at the solved state *)
+  vg_fa_off : ibuf;
+  vg_fa_attr : ibuf;
+  vg_factors : fbuf;
+  vg_iv_off : ibuf;
+  vg_iv_lo : ibuf;
+  vg_iv_hi : ibuf;
+  vg_t_mask : ibuf;
+  vg_dprod : fbuf;
+  vg_mask_bits : ibuf;
+}
+(** One group's kernel tables, as {!group_tables} exports them. *)
+
+val of_views :
+  schema:Schema.t ->
+  n:int ->
+  p:float ->
+  alpha:fbuf ->
+  attr_sums:fbuf ->
+  prefix:fbuf array ->
+  free_attrs:int array ->
+  group_of_attr:int array ->
+  view_group array ->
+  t
+(** A read-only polynomial over caller-owned tables — the Bigarray views
+    of a mapped v3 file.  No copy and no validation: the tables must be
+    exactly what {!tables} exported from a solved polynomial (finalized
+    prefix sums, marginal ids attribute-major), which is what makes
+    every estimate bitwise equal to that polynomial's.  It answers every
+    query {!t} answers; {!phi}, the mutators and the solver-only
+    functions raise [Invalid_argument]. *)
 
 val footprint_bytes : t -> int
 (** Estimated resident heap size of the flat tables in bytes (one word

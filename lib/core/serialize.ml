@@ -9,6 +9,7 @@
    deserializing mutable cached state. *)
 
 open Edb_storage
+module A1 = Bigarray.Array1
 
 let magic = "ENTROPYDB\x01"
 
@@ -319,14 +320,20 @@ type v3_manifest = {
 
 let v3_round_page n = (n + v3_page - 1) / v3_page * v3_page
 
-let v3_bytes_of_floats a =
-  let b = Bytes.create (8 * Array.length a) in
-  Array.iteri (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float v)) a;
+(* Section bytes of [len] elements read through [get]: one encoder
+   for heap arrays and the kernel's Bigarray tables alike. *)
+let v3_bytes_of_floats len get =
+  let b = Bytes.create (8 * len) in
+  for i = 0 to len - 1 do
+    Bytes.set_int64_le b (8 * i) (Int64.bits_of_float (get i))
+  done;
   b
 
-let v3_bytes_of_ints a =
-  let b = Bytes.create (8 * Array.length a) in
-  Array.iteri (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.of_int v)) a;
+let v3_bytes_of_ints len get =
+  let b = Bytes.create (8 * len) in
+  for i = 0 to len - 1 do
+    Bytes.set_int64_le b (8 * i) (Int64.of_int (get i))
+  done;
   b
 
 let v3_floats_of_bytes b =
@@ -391,27 +398,41 @@ let save_v3 summary path =
     blobs := (!off, blob) :: !blobs;
     off := v3_round_page (!off + Bytes.length blob)
   in
-  let addf name a = add name true (v3_bytes_of_floats a)
-  and addi name a = add name false (v3_bytes_of_ints a) in
-  addf "alpha" tb.Poly.tb_alpha;
-  addf "attr_sums" tb.Poly.tb_attr_sums;
-  addf "prefix" (Array.concat (Array.to_list tb.Poly.tb_prefix));
+  (* Typed element readers, so every access compiles to a direct load
+     rather than a generic Bigarray call. *)
+  let addf name (a : float array) =
+    add name true (v3_bytes_of_floats (Array.length a) (Array.unsafe_get a))
+  and addi name (a : int array) =
+    add name false (v3_bytes_of_ints (Array.length a) (Array.unsafe_get a))
+  and addfb name (b : Poly.fbuf) =
+    add name true (v3_bytes_of_floats (A1.dim b) (fun i -> A1.unsafe_get b i))
+  and addib name (b : Poly.ibuf) =
+    add name false (v3_bytes_of_ints (A1.dim b) (fun i -> A1.unsafe_get b i))
+  in
+  addfb "alpha" tb.Poly.tb_alpha;
+  addfb "attr_sums" tb.Poly.tb_attr_sums;
+  addf "prefix"
+    (Array.concat
+       (List.map
+          (fun (pre : Poly.fbuf) ->
+            Array.init (A1.dim pre) (fun i -> A1.unsafe_get pre i))
+          (Array.to_list tb.Poly.tb_prefix)));
   Array.iteri
     (fun gi (g : Poly.group_tables) ->
       let s name = Printf.sprintf "g%d.%s" gi name in
       addi (s "ts_off") g.Poly.gt_ts_off;
       addi (s "ts_stat") g.Poly.gt_ts_stat;
-      addi (s "fa_off") g.Poly.gt_fa_off;
-      addi (s "fa_attr") g.Poly.gt_fa_attr;
-      addf (s "factors") g.Poly.gt_factors;
-      addi (s "iv_off") g.Poly.gt_iv_off;
-      addi (s "iv_lo") g.Poly.gt_iv_lo;
-      addi (s "iv_hi") g.Poly.gt_iv_hi;
-      addi (s "t_mask") g.Poly.gt_t_mask;
+      addib (s "fa_off") g.Poly.gt_fa_off;
+      addib (s "fa_attr") g.Poly.gt_fa_attr;
+      addfb (s "factors") g.Poly.gt_factors;
+      addib (s "iv_off") g.Poly.gt_iv_off;
+      addib (s "iv_lo") g.Poly.gt_iv_lo;
+      addib (s "iv_hi") g.Poly.gt_iv_hi;
+      addib (s "t_mask") g.Poly.gt_t_mask;
       addf (s "fprod") g.Poly.gt_fprod;
-      addf (s "dprod") g.Poly.gt_dprod;
+      addfb (s "dprod") g.Poly.gt_dprod;
       addf (s "value") g.Poly.gt_value;
-      addi (s "mask_bits") g.Poly.gt_mask_bits;
+      addib (s "mask_bits") g.Poly.gt_mask_bits;
       addf (s "mask_sum") g.Poly.gt_mask_sum;
       addf (s "mask_outer") g.Poly.gt_mask_outer;
       addi (s "bys_off") g.Poly.gt_bys_off;

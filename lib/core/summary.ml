@@ -44,10 +44,10 @@ let of_phi ?(solver_config = Solver.default_config) ?term_cap ?init ?on_sweep
   }
 
 let of_solved_poly ?journal ~poly ~report () =
-  let n = Phi.n (Poly.phi poly) in
+  let n = Poly.cardinality poly in
   {
     poly;
-    schema = Phi.schema (Poly.phi poly);
+    schema = Poly.schema poly;
     n;
     report;
     journal =
@@ -252,10 +252,9 @@ type size_report = {
 }
 
 let size_report t =
-  let phi = Poly.phi t.poly in
   {
-    num_statistics = Phi.num_stats phi;
-    num_marginals = Phi.num_marginals phi;
+    num_statistics = Poly.num_stats t.poly;
+    num_marginals = Poly.num_marginals t.poly;
     num_terms = Poly.num_terms t.poly;
     num_groups = Poly.num_groups t.poly;
     uncompressed_monomials = Poly.uncompressed_monomials t.poly;

@@ -33,9 +33,10 @@ val of_phi :
 
 val of_solved_poly :
   ?journal:Journal.t -> poly:Poly.t -> report:Solver.report -> unit -> t
-(** Wrap an already-solved polynomial (deserialization and ingest paths);
-    does not re-solve.  [journal] defaults to a fresh base journal of the
-    polynomial's cardinality. *)
+(** Wrap an already-solved polynomial (deserialization, ingest, and the
+    read-only polynomials of mapped v3 files); does not re-solve.
+    [journal] defaults to a fresh base journal of the polynomial's
+    cardinality. *)
 
 val schema : t -> Schema.t
 

@@ -52,7 +52,7 @@ type aux = {
   csv_path : string;
 }
 
-type backing =
+type backing = Edb_shard.Store.opened =
   | Heap of Edb_shard.Sharded.t
   | Mapped of Mapped.t
 
@@ -136,6 +136,9 @@ let with_lock t f =
 let kind_name entry =
   match entry.backing with Heap _ -> "heap" | Mapped _ -> "mapped"
 
+(* Metadata comes straight from the backing (for a mapped entry, the
+   manifest), so listing or attaching never touches an unverified
+   body. *)
 let schema entry =
   match entry.backing with
   | Heap sh -> Edb_shard.Sharded.schema sh
@@ -151,40 +154,30 @@ let num_shards entry =
   | Heap sh -> Edb_shard.Sharded.num_shards sh
   | Mapped _ -> 1
 
-let estimate entry q =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.estimate sh q
-  | Mapped m -> Mapped.estimate m q
+(* The one estimator surface: a mapped summary answers as the k = 1
+   view of its (verified) Summary, bitwise equal to the flat answer. *)
+let sharded_of = function
+  | Heap sh -> sh
+  | Mapped m -> Edb_shard.Sharded.of_flat (Mapped.summary m)
 
-let stddev entry q =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.stddev sh q
-  | Mapped m -> Mapped.stddev m q
+let sharded entry = sharded_of entry.backing
+let estimate entry q = Edb_shard.Sharded.estimate (sharded entry) q
+let stddev entry q = Edb_shard.Sharded.stddev (sharded entry) q
 
 let estimate_sum entry ~attr q =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.estimate_sum sh ~attr q
-  | Mapped m -> Mapped.estimate_sum m ~attr q
+  Edb_shard.Sharded.estimate_sum (sharded entry) ~attr q
 
 let variance_sum entry ~attr q =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.variance_sum sh ~attr q
-  | Mapped m -> Mapped.variance_sum m ~attr q
+  Edb_shard.Sharded.variance_sum (sharded entry) ~attr q
 
 let estimate_avg entry ~attr q =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.estimate_avg sh ~attr q
-  | Mapped m -> Mapped.estimate_avg m ~attr q
+  Edb_shard.Sharded.estimate_avg (sharded entry) ~attr q
 
 let estimate_disjuncts entry disjuncts =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.estimate_disjuncts sh disjuncts
-  | Mapped m -> Mapped.estimate_disjuncts m disjuncts
+  Edb_shard.Sharded.estimate_disjuncts (sharded entry) disjuncts
 
 let stddev_disjuncts entry disjuncts =
-  match entry.backing with
-  | Heap sh -> Edb_shard.Sharded.stddev_disjuncts sh disjuncts
-  | Mapped m -> Mapped.stddev_disjuncts m disjuncts
+  Edb_shard.Sharded.stddev_disjuncts (sharded entry) disjuncts
 
 let footprint = function
   | Heap sh -> Edb_shard.Sharded.footprint_bytes sh
@@ -259,24 +252,13 @@ let open_entry t ~name ~path =
   | exception Sys_error m -> Error m
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
-  | opened ->
-      let backing =
-        match opened with
-        | Edb_shard.Store.Heap sh -> Heap sh
-        | Edb_shard.Store.Mapped m -> Mapped m
-      in
+  | backing ->
       let cache =
-        match backing with
-        | Heap sh ->
-            Cache.of_fn ~capacity:t.cache_capacity
-              ~groups:(fun ~attrs pred ->
-                Edb_shard.Sharded.estimate_groups_with_stddev sh ~attrs pred)
-              (Edb_shard.Sharded.estimate sh)
-        | Mapped m ->
-            Cache.of_fn ~capacity:t.cache_capacity
-              ~groups:(fun ~attrs pred ->
-                Mapped.estimate_groups_with_stddev m ~attrs pred)
-              (Mapped.estimate m)
+        Cache.of_fn ~capacity:t.cache_capacity
+          ~groups:(fun ~attrs pred ->
+            Edb_shard.Sharded.estimate_groups_with_stddev (sharded_of backing)
+              ~attrs pred)
+          (fun pred -> Edb_shard.Sharded.estimate (sharded_of backing) pred)
       in
       Ok
         {

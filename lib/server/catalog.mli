@@ -25,7 +25,7 @@ type aux = {
 }
 (** Planner routes beyond the summary, attached per entry by {!attach}. *)
 
-type backing =
+type backing = Edb_shard.Store.opened =
   | Heap of Edb_shard.Sharded.t
       (** flat files and sharded manifests, fully deserialized *)
   | Mapped of Mapped.t  (** v3 files, zero-copy *)
@@ -129,8 +129,9 @@ val stats : t -> stats
 
 (** {2 Backing dispatch}
 
-    Uniform estimator surface over an entry's backing, so the handler
-    never matches on {!backing} itself. *)
+    Metadata reads the backing directly (a mapped entry's manifest, so
+    it never verifies the body); every answer goes through {!sharded},
+    so the handler never matches on {!backing} itself. *)
 
 val kind_name : entry -> string
 (** ["heap"] or ["mapped"]. *)
@@ -140,6 +141,12 @@ val cardinality : entry -> int
 
 val num_shards : entry -> int
 (** Mapped entries report 1. *)
+
+val sharded : entry -> Edb_shard.Sharded.t
+(** The entry's estimator surface: a heap entry's summary, or a mapped
+    entry's verified {!Mapped.summary} as a single-shard view (bitwise
+    the flat answers).  Raises {!Serialize.Format_error} if a mapped
+    body fails its checksums. *)
 
 val estimate : entry -> Edb_storage.Predicate.t -> float
 val stddev : entry -> Edb_storage.Predicate.t -> float

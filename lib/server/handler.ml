@@ -127,11 +127,7 @@ module E = Edb_plan.Estimator
    the two answer bitwise identically); plus the exact relation and a
    uniform sample once a base table is ATTACHed. *)
 let entry_estimators (entry : Catalog.entry) =
-  let summary =
-    match entry.Catalog.backing with
-    | Catalog.Heap sh -> E.of_sharded sh
-    | Catalog.Mapped m -> E.of_mapped m
-  in
+  let summary = E.of_sharded (Catalog.sharded entry) in
   match entry.Catalog.aux with
   | None -> [ summary ]
   | Some aux ->

@@ -105,6 +105,7 @@ type conn = {
   mutable last_active : float;
   mutable closing : bool;  (** flush pending output, then close *)
   mutable dead : bool;  (** close now, abandon output *)
+  mutable released : bool;  (** admission slot already given back *)
 }
 
 type executor = {
@@ -256,7 +257,17 @@ let make_conn now fd =
     last_active = now;
     closing = false;
     dead = false;
+    released = false;
   }
+
+(* Give the connection's admission slot back, once.  A QUIT releases it
+   before its reply is flushed: a client that reconnects the moment it
+   reads "bye" must find the slot free, not race [reap]. *)
+let release_slot t c =
+  if not c.released then begin
+    c.released <- true;
+    Atomic.decr t.live
+  end
 
 let enqueue_response c tag response =
   List.iter
@@ -404,8 +415,11 @@ let execute_batch t batch =
             | Ok request ->
                 if mutates request then Hashtbl.reset coalesced;
                 let response, outcome = execute_parsed t request in
-                enqueue_response c p.p_tag response;
-                if outcome = Handler.Close then c.closing <- true)
+                if outcome = Handler.Close then begin
+                  c.closing <- true;
+                  release_slot t c
+                end;
+                enqueue_response c p.p_tag response)
       end)
     batch
 
@@ -467,10 +481,13 @@ let executor_loop t ex =
     List.iter
       (fun c ->
         (try Unix.close c.fd with Unix.Unix_error _ -> ());
-        Atomic.decr t.live)
+        release_slot t c)
       dead;
     conns := live
   in
+  (* Select for reads and, on connections with unflushed replies, for
+     writability: a reply larger than the socket buffer then drains as
+     fast as the peer reads it instead of one bufferful per tick. *)
   let read_ready timeout =
     let readable =
       List.filter_map
@@ -480,11 +497,18 @@ let executor_loop t ex =
           else None)
         !conns
     in
-    match Unix.select (ex.wake_r :: readable) [] [] timeout with
-    | ready, _, _ ->
+    let writable =
+      List.filter_map
+        (fun c -> if (not c.dead) && pending_out c then Some c.fd else None)
+        !conns
+    in
+    match Unix.select (ex.wake_r :: readable) writable [] timeout with
+    | ready, ready_w, _ ->
         if List.memq ex.wake_r ready then drain_wake ();
         List.iter
-          (fun c -> if List.memq c.fd ready then read_chunk t c chunk)
+          (fun c ->
+            if List.memq c.fd ready_w then flush_conn c;
+            if List.memq c.fd ready then read_chunk t c chunk)
           !conns
     | exception Unix.Unix_error (EINTR, _, _) -> ()
     | exception Unix.Unix_error _ -> Thread.delay tick

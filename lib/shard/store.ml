@@ -24,12 +24,6 @@ let load ?term_cap path =
       let strategy, shards = Serialize.load_sharded ?term_cap path in
       Sharded.create ~strategy shards
 
-let open_v3 path =
-  match Serialize.detect path with
-  | Serialize.MappedV3 -> Mapped.open_file path
-  | Serialize.Flat | Serialize.Sharded ->
-      raise (Serialize.Format_error "not a v3 summary file")
-
 type opened = Heap of Sharded.t | Mapped of Mapped.t
 
 let open_any ?term_cap path =

@@ -1152,8 +1152,9 @@ let v3_restore path original =
       Out_channel.output_string oc original)
 
 (* Every body section, corrupted in isolation: the zero-copy open stays
-   body-blind (it must succeed), lazy verification must raise a
-   Format_error *naming the section*, and the heap loader must refuse
+   body-blind (it must succeed, and so must a catalog LOAD of the file),
+   the first [Mapped.summary] — the only way to the tables — must raise
+   a Format_error *naming the section*, and the heap loader must refuse
    the same file.  A flipped byte can never survive to a silently wrong
    answer because no estimator runs before verification. *)
 let test_v3_section_corruption () =
@@ -1170,19 +1171,27 @@ let test_v3_section_corruption () =
           Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x5b));
           Out_channel.with_open_bin path (fun oc ->
               Out_channel.output_bytes oc b);
+          (match
+             Edb_server.Catalog.load (Edb_server.Catalog.create ()) ~name:"s"
+               ~path
+           with
+          | Ok _ -> ()
+          | Error m ->
+              Alcotest.failf "flip in %s broke the body-free LOAD: %s"
+                sec.sec_name m);
           (match Mapped.open_file path with
           | exception e ->
               Alcotest.failf "flip in %s broke the O(1) open: %s" sec.sec_name
                 (Printexc.to_string e)
           | m -> (
-              match Mapped.verify m with
+              match Mapped.summary m with
               | exception Serialize.Format_error msg ->
                   if not (str_contains msg sec.sec_name) then
                     Alcotest.failf "flip in %s reported %S" sec.sec_name msg
               | exception e ->
                   Alcotest.failf "flip in %s raised %s" sec.sec_name
                     (Printexc.to_string e)
-              | () ->
+              | _ ->
                   Alcotest.failf "flip in %s passed verification" sec.sec_name));
           match Serialize.load path with
           | exception Serialize.Format_error _ -> ()
@@ -1196,10 +1205,92 @@ let test_v3_section_corruption () =
       v3_restore path original;
       let q = random_query (Prng.create ~seed:323 ()) (Summary.schema summary) in
       let m = Mapped.open_file path in
-      Mapped.verify m;
       Alcotest.(check (float 0.))
         "mapped answer after restore" (Summary.estimate summary q)
-        (Mapped.estimate m q))
+        (Summary.estimate (Mapped.summary m) q))
+
+(* Heap and mapped summaries share one kernel, so they stay bitwise
+   equal even when every group takes the parallel (chunked) branch. *)
+let test_mapped_parallel_bitwise () =
+  let bits = Int64.bits_of_float in
+  let same what a b =
+    if not (Int64.equal (bits a) (bits b)) then
+      Alcotest.failf "%s: mapped %.17g vs heap %.17g" what b a
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Poly.set_parallelism ~threshold:30_000 (Parallel.default_domains ()))
+    (fun () ->
+      Poly.set_parallelism ~threshold:1 4;
+      for seed = 600 to 605 do
+        let case = random_case seed in
+        let summary =
+          Summary.of_phi
+            ~solver_config:{ Solver.default_config with log_every = 0 }
+            (Phi.of_relation case.rel ~joints:case.joints)
+        in
+        let path = Filename.temp_file "entropydb" ".v3" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Serialize.save_v3 summary path;
+            let mapped = Mapped.summary (Mapped.open_file path) in
+            let schema = Summary.schema summary in
+            let rng = Prng.create ~seed:(seed + 50) () in
+            for _ = 1 to 10 do
+              let q = random_query rng schema in
+              same "estimate" (Summary.estimate summary q)
+                (Summary.estimate mapped q);
+              same "variance" (Summary.variance summary q)
+                (Summary.variance mapped q);
+              same "SUM"
+                (Summary.estimate_sum summary ~attr:0 q)
+                (Summary.estimate_sum mapped ~attr:0 q);
+              List.iter2
+                (fun (ka, ea, va) (kb, eb, vb) ->
+                  if ka <> kb then Alcotest.fail "GROUP BY keys differ";
+                  same "GROUP BY estimate" ea eb;
+                  same "GROUP BY variance" va vb)
+                (Summary.estimate_groups_with_variance summary ~attrs:[ 0; 1 ]
+                   q)
+                (Summary.estimate_groups_with_variance mapped ~attrs:[ 0; 1 ] q)
+            done)
+      done)
+
+(* A mapped polynomial is a read-only view: every mutator, the solver
+   and the ingest path refuse it, and none of them touched the tables
+   (answers are unchanged afterwards). *)
+let test_mapped_poly_read_only () =
+  let summary, path, original = Lazy.force v3_fixture in
+  v3_restore path original;
+  let mapped = Mapped.summary (Mapped.open_file path) in
+  let poly = Summary.poly mapped in
+  let q = random_query (Prng.create ~seed:324 ()) (Summary.schema summary) in
+  let before = Summary.estimate mapped q in
+  let refuses what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | exception e ->
+        Alcotest.failf "%s raised %s, not Invalid_argument" what
+          (Printexc.to_string e)
+    | () -> Alcotest.failf "%s accepted a read-only polynomial" what
+  in
+  refuses "set_alpha" (fun () -> Poly.set_alpha poly 0 0.5);
+  refuses "set_alphas" (fun () ->
+      Poly.set_alphas poly (Array.make (Poly.num_stats poly) 1.));
+  refuses "refresh" (fun () -> Poly.refresh poly);
+  refuses "normalize" (fun () -> Poly.normalize poly);
+  refuses "reinit" (fun () -> Poly.reinit poly `Uniform);
+  refuses "phi" (fun () -> ignore (Poly.phi poly));
+  refuses "solver" (fun () -> ignore (Solver.solve poly));
+  refuses "ingest" (fun () ->
+      ignore
+        (Edb_ingest.Ingest.append mapped
+           (Relation.build (Relation.builder (Summary.schema mapped)))));
+  Alcotest.(check (float 0.)) "answers unchanged" before
+    (Summary.estimate mapped q);
+  Alcotest.(check (float 0.)) "answers still the heap's"
+    (Summary.estimate summary q) before
 
 (* A torn header — any flipped byte in the fixed 96-byte prelude — must
    be rejected before the body is ever touched. *)
@@ -1286,10 +1377,7 @@ let v3_fuzz_flip =
              | exception Serialize.Format_error _ -> true
              | exception _ -> false
              | m -> (
-                 match
-                   Mapped.verify m;
-                   Mapped.estimate m q
-                 with
+                 match Summary.estimate (Mapped.summary m) q with
                  | exception Serialize.Format_error _ -> true
                  | exception _ -> false
                  | v ->
@@ -2022,6 +2110,10 @@ let () =
           Alcotest.test_case "v3 per-section corruption names the section"
             `Quick test_v3_section_corruption;
           Alcotest.test_case "v3 torn header" `Quick test_v3_torn_header;
+          Alcotest.test_case "mapped = heap bitwise, parallel kernel" `Quick
+            test_mapped_parallel_bitwise;
+          Alcotest.test_case "mapped polynomial is read-only" `Quick
+            test_mapped_poly_read_only;
           v3_fuzz_truncation;
           v3_fuzz_flip;
         ] );

@@ -956,6 +956,85 @@ let test_e2e_busy () =
       | Ok _ | Error _ -> Alcotest.fail "service should recover after QUIT");
       ignore (Client.quit c3))
 
+(* QUIT gives its admission slot back before the reply is flushed, so a
+   client that reconnects the moment it reads "bye" is admitted even at
+   workers=1, queue_depth=0 — never ERR busy from a slot that only
+   [reap] would have freed a moment later. *)
+let test_e2e_quit_reconnect () =
+  let dir = temp_dir () in
+  let catalog = Catalog.create () in
+  with_server ~workers:1 ~queue_depth:0 ~catalog dir (fun _ socket ->
+      let c = ref (connect_exn socket) in
+      for i = 1 to 200 do
+        ignore (Client.quit !c);
+        c := connect_exn socket;
+        match Client.ping !c with
+        | Ok [ "pong" ] -> ()
+        | Ok _ -> Alcotest.failf "iteration %d: unexpected PING payload" i
+        | Error m -> Alcotest.failf "iteration %d: %s" i m
+      done;
+      ignore (Client.quit !c))
+
+(* A reply several socket buffers long drains as fast as the peer reads
+   it: the executor selects for writability instead of sending one
+   bufferful per select tick (50 ms).  Timed from the reply's first
+   byte to its last, so evaluation and formatting are not counted. *)
+let test_e2e_large_reply () =
+  let dir = temp_dir () in
+  let rel = small_relation ~seed:83 [ 200; 200 ] 2000 in
+  let summary =
+    Summary.build
+      ~solver_config:{ Solver.default_config with log_every = 0 }
+      rel ~joints:[]
+  in
+  let path = saved_summary dir "big" summary in
+  let catalog = Catalog.create () in
+  (match Catalog.load catalog ~name:"big" ~path with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  with_server ~catalog dir (fun _ socket ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX socket);
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+          let line = "QUERY big SELECT COUNT(*) FROM f GROUP BY a0, a1\n" in
+          ignore (Unix.write_substring fd line 0 (String.length line));
+          let buf = Bytes.create 65536 in
+          let bytes = ref 0 and newlines = ref 0 and expected = ref (-1) in
+          let header = Buffer.create 16 in
+          let t_first = ref 0. in
+          while !expected < 0 || !newlines < !expected + 1 do
+            let n = Unix.read fd buf 0 (Bytes.length buf) in
+            if n = 0 then Alcotest.fail "server closed mid-reply";
+            if !bytes = 0 then t_first := Unix.gettimeofday ();
+            bytes := !bytes + n;
+            for i = 0 to n - 1 do
+              let ch = Bytes.get buf i in
+              if ch = '\n' then begin
+                incr newlines;
+                if !newlines = 1 then
+                  expected :=
+                    Scanf.sscanf (Buffer.contents header) "OK %d" Fun.id
+              end
+              else if !newlines = 0 then Buffer.add_char header ch
+            done
+          done;
+          let elapsed = Unix.gettimeofday () -. !t_first in
+          let sndbuf = Unix.getsockopt_int fd Unix.SO_SNDBUF in
+          Alcotest.(check int) "one line per cell" 40_000 !expected;
+          Alcotest.(check bool)
+            (Printf.sprintf "reply of %d bytes spans >= 4 socket buffers (%d)"
+               !bytes sndbuf)
+            true
+            (!bytes >= 4 * sndbuf);
+          if elapsed > 0.1 then
+            Alcotest.failf
+              "a %d-byte reply took %.3f s from first to last byte (4 ticks \
+               = 0.2 s)"
+              !bytes elapsed))
+
 let test_e2e_deadline () =
   let dir = temp_dir () in
   let summary = small_summary ~seed:71 () in
@@ -1478,6 +1557,10 @@ let () =
           Alcotest.test_case "refresh race (atomic swap)" `Quick
             test_e2e_refresh_race;
           Alcotest.test_case "admission control (ERR busy)" `Quick test_e2e_busy;
+          Alcotest.test_case "QUIT frees the slot before its reply" `Quick
+            test_e2e_quit_reconnect;
+          Alcotest.test_case "large reply drains without tick stalls" `Quick
+            test_e2e_large_reply;
           Alcotest.test_case "request deadline" `Quick test_e2e_deadline;
           Alcotest.test_case "graceful drain" `Quick test_e2e_drain;
           Alcotest.test_case "catalog churn under byte budget" `Quick
